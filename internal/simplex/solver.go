@@ -117,6 +117,21 @@ type Options struct {
 	// and flush once per solve, so the pivot loop never touches an
 	// atomic; pivot sequences are identical with Obs set or nil.
 	Obs *obs.Registry
+
+	// hooks lets in-package tests observe the pivot loop (see
+	// export_test.go); nil in every production solve.
+	hooks *testHooks
+}
+
+// testHooks are the observation points in-package tests attach through
+// Options.hooks. Each is optional. problem and pivot only observe;
+// price may also switch the pricing mode for the next choice (Bland's
+// rule, a cost perturbation), which is how the CHUZC property sweep
+// reaches those modes on small LPs.
+type testHooks struct {
+	problem func(p *Problem)                    // once, on entry to Solve
+	price   func(s *solver, j int, dir float64) // after each entering-column choice
+	pivot   func(enter, leave int)              // each step taken; leave = -1 for a bound flip
 }
 
 func (o Options) withDefaults(m, n int) Options {
@@ -329,6 +344,9 @@ var errRestartPhases = errors.New("simplex: restart phases after basis repair")
 // promptly instead of running to the iteration limit. The pivot
 // sequence of an uncancelled solve is identical for any ctx.
 func Solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
+	if h := opt.hooks; h != nil && h.problem != nil {
+		h.problem(p)
+	}
 	sol, err := solveOnce(ctx, p, opt, 1e-9, false)
 	if err != nil && errors.Is(err, lu.ErrSingular) {
 		strict := opt
@@ -1417,6 +1435,9 @@ func (s *solver) iterate(phase int) (Status, error) {
 			}
 		}
 		j, dir := s.price()
+		if h := s.opt.hooks; h != nil && h.price != nil {
+			h.price(s, j, dir)
+		}
 		if j < 0 {
 			if s.perturbed {
 				// Optimal for the perturbed costs only: restore the true
@@ -1518,6 +1539,9 @@ func (s *solver) iterate(phase int) (Status, error) {
 
 		if res.leaveRow < 0 {
 			// Bound flip: no basis change, reduced costs unchanged.
+			if h := s.opt.hooks; h != nil && h.pivot != nil {
+				h.pivot(j, -1)
+			}
 			t := res.t
 			for _, i := range s.wIdx {
 				s.xB[i] -= dir * s.w[i] * t
@@ -1541,6 +1565,9 @@ func (s *solver) iterate(phase int) (Status, error) {
 			continue
 		}
 		leaving := s.basisOf[r]
+		if h := s.opt.hooks; h != nil && h.pivot != nil {
+			h.pivot(j, leaving)
+		}
 
 		// Maintain pricing state across the basis change (needs the
 		// pre-pivot factorization, so this comes before pushEta).
