@@ -26,7 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -82,6 +82,7 @@ type Factorization struct {
 	lRowCol []int32
 	patBuf  []int
 	ordBuf  []int
+	outBuf  []int // output support of the last sparse solve
 	cntBuf  []int
 	qinv    []int
 
@@ -410,7 +411,7 @@ func (f *Factorization) factor(m *sparse.Matrix, collect bool) (defCols, defRows
 				defRows = append(defRows, i)
 			}
 		}
-		sort.Ints(defCols)
+		slices.Sort(defCols)
 		return defCols, defRows, nil
 	}
 	f.complete = true
@@ -615,7 +616,15 @@ func (f *Factorization) Solve(b, x []float64) {
 // nonzero pattern: supp lists original indices, ascending, and every
 // entry of b outside supp is exactly zero. The pattern is filtered to
 // the actual nonzeros, so the solve path and result match Solve's.
-func (f *Factorization) SolveSupp(b, x []float64, supp []int) {
+//
+// SolveSupp also reports the support of the result. When the sparse
+// path ran, sparse is true and out lists, in no particular order, every
+// position the solve wrote a result to. The input's nonzeros are set to
+// +0 first, and every other position keeps its (zero) input value, so
+// out is a superset of x's nonzeros. When the dense path ran, sparse is
+// false, out is nil, and any position may be nonzero. out aliases
+// workspace that the next solve overwrites.
+func (f *Factorization) SolveSupp(b, x []float64, supp []int) (out []int, sparse bool) {
 	n := f.n
 	if len(b) != n || len(x) != n {
 		panic("lu: Solve dimension mismatch")
@@ -630,11 +639,11 @@ func (f *Factorization) SolveSupp(b, x []float64, supp []int) {
 		}
 		f.patBuf = pat
 		if len(pat) <= n/8 {
-			f.solveSparse(b, x, pat)
-			return
+			return f.solveSparse(b, x, pat), true
 		}
 	}
 	f.solveDense(b, x)
+	return nil, false
 }
 
 func (f *Factorization) solveDense(b, x []float64) {
@@ -681,8 +690,9 @@ func (f *Factorization) solveDense(b, x []float64) {
 }
 
 // solveSparse is the sparse-pattern solve: pat lists the original rows
-// i with b[i] ≠ 0, ascending. x aliases b.
-func (f *Factorization) solveSparse(b, x []float64, pat []int) {
+// i with b[i] ≠ 0, ascending. x aliases b. It returns the positions of
+// x it wrote (SolveSupp's out); the input positions it cleared hold +0.
+func (f *Factorization) solveSparse(b, x []float64, pat []int) []int {
 	n := f.n
 	z := f.x
 	// Forward reach through L (original-row space, as in Factor), then
@@ -697,7 +707,7 @@ func (f *Factorization) solveSparse(b, x []float64, pat []int) {
 		f.mark[i] = false
 		ord = append(ord, f.pinv[i])
 	}
-	sort.Ints(ord)
+	slices.Sort(ord)
 	for _, i := range pat {
 		z[f.pinv[i]] = b[i]
 	}
@@ -713,7 +723,8 @@ func (f *Factorization) solveSparse(b, x []float64, pat []int) {
 	}
 	// Backward through U: the forward result's structural nonzeros seed
 	// a reach over U's column graph (column j scatters into pivot rows
-	// k < j); descending order again matches the dense pass.
+	// k < j); walking it in descending order again matches the dense
+	// pass.
 	top = f.reachU(ord)
 	ord2 := ord[:0] // forward order no longer needed; reuse the buffer
 	for p := top; p < n; p++ {
@@ -721,9 +732,9 @@ func (f *Factorization) solveSparse(b, x []float64, pat []int) {
 		f.mark[j] = false
 		ord2 = append(ord2, j)
 	}
-	//coflowlint:allow stablesort -- int keys form a total order; equal elements are interchangeable
-	sort.Sort(sort.Reverse(sort.IntSlice(ord2)))
-	for _, j := range ord2 {
+	slices.Sort(ord2)
+	for t := len(ord2) - 1; t >= 0; t-- {
+		j := ord2[t]
 		zj := z[j]
 		if zj == 0 {
 			continue
@@ -743,11 +754,14 @@ func (f *Factorization) solveSparse(b, x []float64, pat []int) {
 	for _, i := range pat {
 		x[i] = 0
 	}
+	out := f.outBuf[:0]
 	for _, j := range ord2 {
 		x[f.q[j]] = z[j]
 		z[j] = 0
+		out = append(out, f.q[j])
 	}
-	f.ordBuf = ord2
+	f.ordBuf, f.outBuf = ord2, out
+	return out
 }
 
 // reachU is reach over U's column graph in pivot coordinates: DFS from
@@ -825,8 +839,9 @@ func (f *Factorization) SolveTranspose(b, x []float64) {
 // order) and every entry of b outside supp is exactly zero. The pattern
 // is filtered to the actual nonzeros — the same set SolveTranspose's
 // scan finds — and root order does not affect the computed values, so
-// the result matches SolveTranspose's.
-func (f *Factorization) SolveTransposeSupp(b, x []float64, supp []int) {
+// the result matches SolveTranspose's. It reports the support of the
+// result exactly as SolveSupp does.
+func (f *Factorization) SolveTransposeSupp(b, x []float64, supp []int) (out []int, sparse bool) {
 	n := f.n
 	if len(b) != n || len(x) != n {
 		panic("lu: SolveTranspose dimension mismatch")
@@ -841,11 +856,11 @@ func (f *Factorization) SolveTransposeSupp(b, x []float64, supp []int) {
 		}
 		f.patBuf = pat
 		if len(pat) <= n/8 {
-			f.solveTransposeSparse(b, x, pat)
-			return
+			return f.solveTransposeSparse(b, x, pat), true
 		}
 	}
 	f.solveTransposeDense(b, x)
+	return nil, false
 }
 
 func (f *Factorization) solveTransposeDense(b, x []float64) {
@@ -883,8 +898,9 @@ func (f *Factorization) solveTransposeDense(b, x []float64) {
 }
 
 // solveTransposeSparse is the sparse-pattern transpose solve: pat lists
-// the pivot positions j with b[q[j]] ≠ 0, ascending. x aliases b.
-func (f *Factorization) solveTransposeSparse(b, x []float64, pat []int) {
+// the pivot positions j with b[q[j]] ≠ 0, ascending. x aliases b. It
+// returns the positions of x it wrote, as solveSparse does.
+func (f *Factorization) solveTransposeSparse(b, x []float64, pat []int) []int {
 	n := f.n
 	f.ensureTranspose()
 	z := f.x
@@ -923,12 +939,16 @@ func (f *Factorization) solveTransposeSparse(b, x []float64, pat []int) {
 	for _, j := range pat {
 		x[f.q[j]] = 0
 	}
+	out := f.outBuf[:0]
 	for p := topL; p < n; p++ {
 		k := f.xi[p]
 		f.mark[k] = false
 		x[f.p[k]] = z[k]
 		z[k] = 0
+		out = append(out, f.p[k])
 	}
+	f.outBuf = out
+	return out
 }
 
 // Residual returns ‖B·x − b‖∞ for diagnostics.

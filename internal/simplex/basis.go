@@ -12,9 +12,8 @@ import (
 // refactorization plus a product-form (PFI) eta file for the pivots
 // performed since.
 type basis struct {
-	m   int
-	lu  *lu.Factorization
-	mat *sparse.Matrix // basis matrix at last refactorization (diagnostics)
+	m  int
+	lu *lu.Factorization
 
 	// Eta file. Eta k replaces column etaRow[k] of the basis with the
 	// FTran'd entering column stored in etaIdx/etaVal[etaPtr[k]:etaPtr[k+1]].
@@ -34,6 +33,10 @@ type basis struct {
 	sup      []uint64
 	supWords []int32
 	supIdx   []int
+
+	// Support reports of the last ftranSupp and btranUnit.
+	ftranOut []int
+	btranOut []int
 }
 
 func newBasis(m int) *basis {
@@ -61,7 +64,6 @@ func (b *basis) refactor(cols *sparse.Matrix) error {
 	if err := b.lu.Factor(cols); err != nil {
 		return err
 	}
-	b.mat = cols
 	b.etaPtr = b.etaPtr[:1]
 	b.etaRow = b.etaRow[:0]
 	b.etaIdx = b.etaIdx[:0]
@@ -135,18 +137,32 @@ func (b *basis) pushEtaIdx(r int, w []float64, wIdx []int, dropTol float64) {
 // ftran solves B·x = v in place (v is overwritten with the solution).
 func (b *basis) ftran(v []float64) {
 	b.lu.Solve(v, v)
-	b.ftranEtas(v)
+	b.ftranEtas(v, nil)
 }
 
 // ftranSupp is ftran for a caller that knows a superset of v's nonzero
 // pattern (ascending original indices; entries outside are exact zeros),
-// letting the LU solve skip its pattern-discovery scan.
-func (b *basis) ftranSupp(v []float64, supp []int) {
-	b.lu.SolveSupp(v, v, supp)
-	b.ftranEtas(v)
+// letting the LU solve skip its pattern-discovery scan. Like
+// lu.SolveSupp it reports where the result can be nonzero: when the LU
+// solve ran sparse, ok is true and out lists (in any order, possibly
+// repeated) every position written after the input's nonzeros were
+// cleared to +0 — the LU output plus the index sets of the etas
+// applied. When ok is false any position may be nonzero. out aliases a
+// buffer the next call overwrites.
+func (b *basis) ftranSupp(v []float64, supp []int) (out []int, ok bool) {
+	lout, ok := b.lu.SolveSupp(v, v, supp)
+	if !ok {
+		b.ftranEtas(v, nil)
+		return nil, false
+	}
+	b.ftranOut = b.ftranEtas(v, append(b.ftranOut[:0], lout...))
+	return b.ftranOut, true
 }
 
-func (b *basis) ftranEtas(v []float64) {
+// ftranEtas applies the eta file to v. When track is non-nil, the
+// index set of every applied eta is appended to it and the result
+// returned; the append costs no more than the update itself.
+func (b *basis) ftranEtas(v []float64, track []int) []int {
 	for k := 0; k < len(b.etaRow); k++ {
 		r := b.etaRow[k]
 		vr := v[r]
@@ -154,6 +170,9 @@ func (b *basis) ftranEtas(v []float64) {
 			continue
 		}
 		lo, hi := b.etaPtr[k], b.etaPtr[k+1]
+		if track != nil {
+			track = append(track, b.etaIdx[lo:hi]...)
+		}
 		// Find w_r first.
 		var wr float64
 		for t := lo; t < hi; t++ {
@@ -172,11 +191,13 @@ func (b *basis) ftranEtas(v []float64) {
 		}
 		v[r] = zr
 	}
+	return track
 }
 
 // btran solves Bᵀ·y = v in place (v is overwritten with the solution).
 func (b *basis) btran(v []float64) {
-	if b.m >= 64 && len(b.etaRow) >= 4 && b.btranSparse(v, -1) {
+	if b.m >= 64 && len(b.etaRow) >= 4 && b.scanSupport(v) {
+		b.btranSparse(v)
 		return
 	}
 	for k := len(b.etaRow) - 1; k >= 0; k-- {
@@ -200,56 +221,64 @@ func (b *basis) btran(v []float64) {
 // btranUnit is btran for v = e_seed (exactly one nonzero, at seed): the
 // sparse path's support scan is replaced by the known singleton pattern,
 // so it applies whenever the dimension gate passes, regardless of eta
-// count.
-func (b *basis) btranUnit(v []float64, seed int) {
-	if b.m >= 64 {
-		b.btranSparse(v, seed)
-		return
+// count. It reports where the result can be nonzero the way ftranSupp
+// does: out lists every position written (the eta pass's rows plus the
+// LU output), or ok is false when any position may be nonzero.
+func (b *basis) btranUnit(v []float64, seed int) (out []int, ok bool) {
+	if b.m < 64 {
+		b.btran(v)
+		return nil, false
 	}
-	b.btran(v)
+	sup := b.resetSupport()
+	sup[seed>>6] |= 1 << (uint(seed) & 63)
+	b.supWords = append(b.supWords, int32(seed>>6))
+	b.supIdx = append(b.supIdx, seed)
+	return b.btranSparse(v)
 }
 
-// btranSparse is the eta pass for sparse v, followed by the LU
-// transpose solve with the collected support: it tracks a superset of
-// v's support in a bitset and skips etas whose index set misses it
-// while v[r] is zero — for those, the dot is a sum of exact zeros and
-// the update would store (±0−±0)/w_r, so skipping changes only the
-// sign of a zero. Non-skipped etas run the dense path's exact gather.
-// seed ≥ 0 asserts v's support is exactly {seed}, skipping the scan.
-// Returns false (having done nothing) when v is too dense to pay off.
-func (b *basis) btranSparse(v []float64, seed int) bool {
+// resetSupport empties the support bitset and its word and index lists.
+func (b *basis) resetSupport() []uint64 {
 	words := b.maskWords()
 	if cap(b.sup) < words {
 		b.sup = make([]uint64, words)
 	}
-	sup := b.sup[:words]
-	for i := range sup {
-		sup[i] = 0
-	}
-	sw := b.supWords[:0]
-	si := b.supIdx[:0]
-	if seed >= 0 {
-		sw = append(sw, int32(seed>>6))
-		sup[seed>>6] |= 1 << (uint(seed) & 63)
-		si = append(si, seed)
-	} else {
-		nnz := 0
-		for i, x := range v {
-			if x != 0 {
-				w := i >> 6
-				if sup[w] == 0 {
-					sw = append(sw, int32(w))
-				}
-				sup[w] |= 1 << (uint(i) & 63)
-				si = append(si, i)
-				nnz++
+	b.sup = b.sup[:words]
+	clear(b.sup)
+	b.supWords = b.supWords[:0]
+	b.supIdx = b.supIdx[:0]
+	return b.sup
+}
+
+// scanSupport records v's nonzeros as the support for btranSparse. It
+// reports false when v is too dense for the sparse path to pay off.
+func (b *basis) scanSupport(v []float64) bool {
+	sup := b.resetSupport()
+	sw, si := b.supWords, b.supIdx
+	for i, x := range v {
+		if x != 0 {
+			w := i >> 6
+			if sup[w] == 0 {
+				sw = append(sw, int32(w))
 			}
-		}
-		if nnz > b.m/8 {
-			b.supWords, b.supIdx = sw, si
-			return false
+			sup[w] |= 1 << (uint(i) & 63)
+			si = append(si, i)
 		}
 	}
+	b.supWords, b.supIdx = sw, si
+	return len(si) <= b.m/8
+}
+
+// btranSparse is the eta pass for sparse v, followed by the LU
+// transpose solve with the collected support: it tracks a superset of
+// v's support (recorded by btranUnit or scanSupport) in a bitset and
+// skips etas whose index set misses it while v[r] is zero — for those,
+// the dot is a sum of exact zeros and the update would store
+// (±0−±0)/w_r, so skipping changes only the sign of a zero. Non-skipped
+// etas run the dense path's exact gather. It returns btranUnit's
+// support report.
+func (b *basis) btranSparse(v []float64) (out []int, ok bool) {
+	words := b.maskWords()
+	sup, sw, si := b.sup, b.supWords, b.supIdx
 	for k := len(b.etaRow) - 1; k >= 0; k-- {
 		r := b.etaRow[k]
 		if v[r] == 0 {
@@ -291,7 +320,12 @@ func (b *basis) btranSparse(v []float64, seed int) bool {
 	// The collected indices are a superset of v's support (a processed
 	// position may have landed on an exact zero); entries outside are
 	// untouched zeros. The LU layer filters to actual nonzeros, so the
-	// solve matches the plain SolveTranspose path.
-	b.lu.SolveTransposeSupp(v, v, si)
-	return true
+	// solve matches the plain SolveTranspose path. The rows the eta pass
+	// wrote stay in the report: one may hold a zero of either sign.
+	lout, ok := b.lu.SolveTransposeSupp(v, v, si)
+	if !ok {
+		return nil, false
+	}
+	b.btranOut = append(append(b.btranOut[:0], si...), lout...)
+	return b.btranOut, true
 }

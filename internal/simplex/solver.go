@@ -13,8 +13,10 @@
 // The implementation uses the classical two-phase method with
 // artificial variables, a sparse LU basis factorization
 // (internal/lu) refreshed periodically, product-form eta updates in
-// between, rotating partial pricing with a Bland's-rule fallback for
-// anti-cycling, and a Harris-style two-pass ratio test.
+// between, Devex pricing kept in an incremental tournament tree with a
+// Bland's-rule fallback for anti-cycling, and a Harris-style two-pass
+// ratio test. Each pivot's work follows the support of its pivot row
+// and entering column rather than the LP's dimensions.
 package simplex
 
 import (
@@ -22,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/lu"
 	"repro/internal/obs"
@@ -112,10 +115,10 @@ type Options struct {
 	// forced the fallback.
 	WarmStart *Basis
 	// Obs, when non-nil, receives solve telemetry: pivots,
-	// refactorizations, Devex prefilter hit rate, LU factorization
-	// work, and the warm-start outcome. Counters accumulate locally
-	// and flush once per solve, so the pivot loop never touches an
-	// atomic; pivot sequences are identical with Obs set or nil.
+	// refactorizations, LU factorization work, and the warm-start
+	// outcome. Counters accumulate locally and flush once per solve, so
+	// the pivot loop never touches an atomic; pivot sequences are
+	// identical with Obs set or nil.
 	Obs *obs.Registry
 
 	// hooks lets in-package tests observe the pivot loop (see
@@ -212,31 +215,40 @@ type solver struct {
 
 	bas *basis
 
-	// dense work vectors, length m
+	// Dense work vectors, length m. w (the FTran'd entering column) and
+	// rho (the pivot row B⁻ᵀe_r) are all +0 between uses: each solve
+	// reports the positions it wrote (wOut, rho's report), and only
+	// those are cleared again, so neither costs O(m) per pivot.
 	y   []float64
 	w   []float64
 	v2  []float64
-	rho []float64 // pivot row B⁻ᵀe_r for Devex / reduced-cost updates
+	rho []float64
 
-	wIdx []int // nonzero positions of w after ftran
+	wIdx   []int // nonzero positions of w after ftran, ascending
+	wOut   []int // positions to clear in w, or nil with wDense
+	wDense bool  // the last ftran went dense: clear all of w
+	rhoIdx []int // nonzero positions of rho, ascending
+
+	// idxBits is the m-bit scratch set ascendingNonzeros sorts a support
+	// report with; all zero between calls.
+	idxBits []uint64
 
 	// Reduced costs maintained incrementally across pivots and Devex
 	// reference weights, interleaved (ddw[2j] = reduced cost of j,
-	// ddw[2j+1] = Devex weight): the pricing sweep reads both per
-	// column, and interleaving halves its cache-line traffic.
+	// ddw[2j+1] = Devex weight): a pivot reads and writes both per
+	// touched column.
 	ddw []float64
 
 	// Row-major (CSR) view of A, built once per solve: the pricing
-	// sweep accumulates the pivot row α_r = ρᵀA by rows of A with
-	// nonzero ρ_i instead of one sparse dot per nonbasic column. Valid
-	// only when every column of A stores its rows ascending (csrOK) —
-	// then per-column accumulation order matches ColDot's and the
-	// floats are identical. arj is the length-total accumulator,
-	// zeroed again after every sweep.
+	// update accumulates the pivot row α_r = ρᵀA by rows of A with
+	// nonzero ρ_i instead of one sparse dot per nonbasic column. Every
+	// column of A stores its rows strictly ascending (solveOnce
+	// normalizes a matrix that does not), so per-column accumulation
+	// order matches ColDot's and the floats are identical. arj is the
+	// length-total accumulator, zeroed again after every pivot.
 	rowPtr  []int32
 	rowCol  []int32
 	rowVal  []float64
-	csrOK   bool
 	arj     []float64
 	suppOne [1]int
 	// Deduplicated list of columns the current pivot row touches, with
@@ -245,28 +257,24 @@ type solver struct {
 	stamp    []int32
 	stampGen int32
 
-	// Nonbasic index list, rebuilt per phase and maintained across
-	// pivots (swap-remove the entering column, append the leaving one):
-	// the pricing sweep visits only nonbasic columns instead of testing
-	// state over all of them. nbPos[j] is j's position, -1 when basic.
-	nbList []int32
-	nbPos  []int32
-	// fixed[j] caches lb(j) == ub(j), refreshed with the nonbasic list
-	// (bounds only change at phase transitions, which rebuild it).
-	fixed []bool
+	// Entering-column choice (CHUZC) as a tournament tree over the
+	// columns: score[j] is d_j²/w_j when j is nonbasic and eligible to
+	// enter, else -1; tree[1] is the winner, internal node k holds the
+	// winner of nodes 2k and 2k+1, and leaf treeLeaves+j holds j.
+	// Larger score wins, the smaller index on a tie — the first argmax
+	// an ascending scan finds. A pivot re-scores only the columns whose
+	// reduced cost, weight or state it changed.
+	score      []float64
+	tree       []int32
+	treeLeaves int
 
-	// One-pivot price cache: the pivot's pricing sweep already sees
-	// every nonbasic column with its final reduced cost and Devex
-	// weight, so it records the next entering candidate (argmax of
-	// d²/w, smallest index on ties — exactly what the ascending price
-	// scan would select). Any event that perturbs d, dw, or a state
-	// outside the sweep's view (refactor refresh, Devex reset, bound
-	// flip, Bland mode) simply leaves the cache invalid and price
-	// falls back to the full scan.
-	cacheJ     int
-	cacheDir   float64
-	cacheScore float64
-	cacheOK    bool
+	// nHeavy counts nonbasic columns whose Devex weight exceeds
+	// devexResetWeight; a pivot that leaves one besides the entering
+	// column resets the reference framework.
+	nHeavy int
+
+	// Basis matrix buffers, reused across refactorizations.
+	bmat sparse.Matrix
 
 	bland       bool    // Bland's rule anti-cycling mode
 	artFixed    bool    // artificial upper bounds pinned to 0 (phase 2)
@@ -295,13 +303,11 @@ type solver struct {
 	warm           WarmOutcome
 	isRetry        bool
 	nRefactor      int
-	nDegen         int   // degenerate (zero-step) pivots this solve
-	degenAtPerturb int   // nDegen at the last perturbation (trigger baseline)
-	nRepairs       int   // dependent basis columns swapped for artificials
-	nPerturb       int   // cost perturbations applied on degenerate stalls
-	restarts       int   // two-phase restarts after an infeasible repair
-	prefTested     int64 // nonbasic columns seen by the CSR pricing sweep
-	prefPassed     int64 // columns that survived the dj² ≥ bestScore prefilter
+	nDegen         int // degenerate (zero-step) pivots this solve
+	degenAtPerturb int // nDegen at the last perturbation (trigger baseline)
+	nRepairs       int // dependent basis columns swapped for artificials
+	nPerturb       int // cost perturbations applied on degenerate stalls
+	restarts       int // two-phase restarts after an infeasible repair
 }
 
 // Repair / anti-degeneracy limits. Each is a last-resort bound, not a
@@ -313,6 +319,10 @@ const (
 	maxPerturb        = 6  // cost perturbations per solveOnce
 	cancelCheckEvery  = 64 // pivots between context-cancellation polls
 )
+
+// devexResetWeight is the Devex weight above which the reference
+// framework is reset (all weights back to 1).
+const devexResetWeight = 1e10
 
 // crashMinRows gates the slack-crash start: at or above this row count
 // the cold start seats feasible singleton (slack) columns in the basis
@@ -387,16 +397,25 @@ func solveOnce(ctx context.Context, p *Problem, opt Options, minPiv float64, ret
 		w:       make([]float64, m),
 		v2:      make([]float64, m),
 		rho:     make([]float64, m),
+		idxBits: make([]uint64, (m+63)/64),
 		ddw:     make([]float64, 2*(n+m)),
 		touched: make([]int32, 0, n+m),
 		stamp:   make([]int32, n+m),
 		wIdx:    make([]int, 0, m),
+		wDense:  true,
 		arj:     make([]float64, n+m),
-		nbList:  make([]int32, 0, n+m),
-		nbPos:   make([]int32, n+m),
-		fixed:   make([]bool, n+m),
 		minPiv:  minPiv,
 		isRetry: retry,
+	}
+	s.treeLeaves = 1
+	for s.treeLeaves < n+m {
+		s.treeLeaves *= 2
+	}
+	s.score = make([]float64, s.treeLeaves)
+	s.tree = make([]int32, 2*s.treeLeaves)
+	for j := 0; j < s.treeLeaves; j++ {
+		s.score[j] = -1
+		s.tree[s.treeLeaves+j] = int32(j)
 	}
 	s.allowRepair = true
 	s.buildCSR()
@@ -404,20 +423,23 @@ func solveOnce(ctx context.Context, p *Problem, opt Options, minPiv float64, ret
 	return s.run()
 }
 
-// buildCSR builds the row-major view of A for the pricing sweep. The
-// sweep's float-exactness argument needs ascending rows within each
-// column; a matrix violating that (none of ours do — sparse.Builder
-// sorts) simply keeps the column-dot path.
+// buildCSR builds the row-major view of A for the pricing update. Its
+// float-exactness argument, and basisMatrix's, need strictly ascending
+// rows within each column. Every matrix sparse.Builder produces has
+// them; any other is first rebuilt through sparse.Builder (duplicates
+// summed, rows sorted) and the solve runs on that copy.
 func (s *solver) buildCSR() {
 	a := s.prob.A
-	for j := 0; j < a.Cols; j++ {
-		lo, hi := a.ColPtr[j], a.ColPtr[j+1]
-		for k := lo + 1; k < hi; k++ {
-			if a.RowIdx[k-1] >= a.RowIdx[k] {
-				s.csrOK = false
-				return
+	if !strictlyAscending(a) {
+		bld := sparse.NewBuilder(a.Rows, a.Cols)
+		for j := 0; j < a.Cols; j++ {
+			idx, val := a.Col(j)
+			for k, i := range idx {
+				bld.Add(i, j, val[k])
 			}
 		}
+		a = bld.Build()
+		s.prob.A = a
 	}
 	nnz := a.Nnz()
 	s.rowPtr = make([]int32, s.m+1)
@@ -445,7 +467,20 @@ func (s *solver) buildCSR() {
 			next[i] = p + 1
 		}
 	}
-	s.csrOK = true
+}
+
+// strictlyAscending reports whether every column of a lists its rows
+// in strictly ascending order.
+func strictlyAscending(a *sparse.Matrix) bool {
+	for j := 0; j < a.Cols; j++ {
+		idx, _ := a.Col(j)
+		for k := 1; k < len(idx); k++ {
+			if idx[k-1] >= idx[k] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // value returns the current value of a nonbasic variable.
@@ -857,21 +892,37 @@ func (s *solver) setNonbasicNear(j int, v float64) {
 	s.inRow[j] = -1
 }
 
-// basisMatrix assembles the current basis columns into an m×m matrix.
+// basisMatrix assembles the current basis columns into an m×m matrix,
+// in buffers reused across refactorizations. A's columns are strictly
+// ascending (buildCSR), so copying them and dropping zero values — as
+// sparse.Builder.Add does — yields exactly the entries, in exactly the
+// order, that building the matrix through sparse.Builder would. The
+// matrix stays valid until the next call.
 func (s *solver) basisMatrix() *sparse.Matrix {
-	bld := sparse.NewBuilder(s.m, s.m)
+	bm := &s.bmat
+	bm.Rows, bm.Cols = s.m, s.m
+	if len(bm.ColPtr) != s.m+1 {
+		bm.ColPtr = make([]int, s.m+1)
+	}
+	ri, rv := bm.RowIdx[:0], bm.Val[:0]
 	for rpos := 0; rpos < s.m; rpos++ {
 		j := s.basisOf[rpos]
 		if j < s.n {
 			idx, val := s.prob.A.Col(j)
 			for k, i := range idx {
-				bld.Add(i, rpos, val[k])
+				if val[k] != 0 {
+					ri = append(ri, i)
+					rv = append(rv, val[k])
+				}
 			}
 		} else {
-			bld.Add(j-s.n, rpos, s.artSign[j-s.n])
+			ri = append(ri, j-s.n)
+			rv = append(rv, s.artSign[j-s.n])
 		}
+		bm.ColPtr[rpos+1] = len(ri)
 	}
-	return bld.Build()
+	bm.RowIdx, bm.Val = ri, rv
+	return bm
 }
 
 // refactor rebuilds the LU factorization from the current basis and
@@ -997,11 +1048,15 @@ func (s *solver) recomputeReducedCosts() {
 		}
 		s.ddw[2*j] = s.cost[j] - s.colDot(j, s.y)
 	}
-	// Refreshing also re-sorts the nonbasic list: sweep order never
-	// affects the result, but a near-ascending list keeps the pricing
-	// sweep's memory accesses sequential.
-	s.rebuildNonbasic()
-	s.cacheOK = false
+	// The nonbasic set may have changed outside the pivots (a basis
+	// repair), so recount the heavy weights along with the tree.
+	s.nHeavy = 0
+	for j := 0; j < s.total; j++ {
+		if s.state[j] != stBasic && s.ddw[2*j+1] > devexResetWeight {
+			s.nHeavy++
+		}
+	}
+	s.rebuildTree()
 }
 
 // resetDevex restores the Devex reference framework.
@@ -1009,21 +1064,62 @@ func (s *solver) resetDevex() {
 	for j := 0; j < s.total; j++ {
 		s.ddw[2*j+1] = 1
 	}
-	s.cacheOK = false
+	s.nHeavy = 0
+	s.rebuildTree()
 }
 
-// rebuildNonbasic refreshes the nonbasic index list and the fixed-bound
-// cache from the states.
-func (s *solver) rebuildNonbasic() {
-	s.nbList = s.nbList[:0]
+// chuzcScore is column j's key in the entering-column tree: d_j²/w_j
+// when j is nonbasic and eligible, else -1. A score that is not
+// positive (it cannot be, short of NaN) also maps to -1: the ascending
+// scan this tree replaces only ever chose a column whose score
+// exceeded 0.
+func (s *solver) chuzcScore(j int) float64 {
+	if s.state[j] == stBasic {
+		return -1
+	}
+	if _, ok := s.eligible(j); !ok {
+		return -1
+	}
+	d := s.ddw[2*j]
+	if sc := d * d / s.ddw[2*j+1]; sc > 0 {
+		return sc
+	}
+	return -1
+}
+
+// winner plays columns a and b: the larger score, or the smaller index
+// on a tie.
+func (s *solver) winner(a, b int32) int32 {
+	if sa, sb := s.score[a], s.score[b]; sa > sb || (sa == sb && a < b) {
+		return a
+	}
+	return b
+}
+
+// rebuildTree re-scores every column and replays the whole tournament.
+func (s *solver) rebuildTree() {
 	for j := 0; j < s.total; j++ {
-		s.fixed[j] = s.lb(j) == s.ub(j)
-		if s.state[j] == stBasic {
-			s.nbPos[j] = -1
-			continue
+		s.score[j] = s.chuzcScore(j)
+	}
+	for k := s.treeLeaves - 1; k >= 1; k-- {
+		s.tree[k] = s.winner(s.tree[2*k], s.tree[2*k+1])
+	}
+}
+
+// rescore refreshes column j's score after a change to its reduced
+// cost, weight or state, and replays the matches on its path to the
+// root. The replay stops at the first node whose winner neither
+// changed nor is j: every match above it sees the same contender with
+// the same score.
+func (s *solver) rescore(j int) {
+	s.score[j] = s.chuzcScore(j)
+	j32 := int32(j)
+	for k := (s.treeLeaves + j) >> 1; k >= 1; k >>= 1 {
+		w := s.winner(s.tree[2*k], s.tree[2*k+1])
+		if w == s.tree[k] && w != j32 {
+			return
 		}
-		s.nbPos[j] = int32(len(s.nbList))
-		s.nbList = append(s.nbList, int32(j))
+		s.tree[k] = w
 	}
 }
 
@@ -1059,11 +1155,6 @@ func (s *solver) eligible(j int) (dir float64, ok bool) {
 // or Bland's smallest-index rule in anti-cycling mode. Returns -1 when
 // the basis is optimal for the current costs.
 func (s *solver) price() (jEnter int, dir float64) {
-	if s.cacheOK && !s.bland {
-		s.cacheOK = false
-		return s.cacheJ, s.cacheDir
-	}
-	s.cacheOK = false
 	if s.bland {
 		for j := 0; j < s.total; j++ {
 			if s.state[j] == stBasic {
@@ -1075,164 +1166,137 @@ func (s *solver) price() (jEnter int, dir float64) {
 		}
 		return -1, 0
 	}
-	best, bestScore, bestDir := -1, 0.0, 0.0
-	for j := 0; j < s.total; j++ {
-		if s.state[j] == stBasic {
-			continue
-		}
-		dr, ok := s.eligible(j)
-		if !ok {
-			continue
-		}
-		dj := s.ddw[2*j]
-		score := dj * dj / s.ddw[2*j+1]
-		if score > bestScore {
-			best, bestScore, bestDir = j, score, dr
-		}
+	j := int(s.tree[1])
+	if s.score[j] < 0 {
+		return -1, 0
 	}
-	return best, bestDir
+	dir, _ = s.eligible(j)
+	return j, dir
 }
 
-// updatePricingAfterPivot maintains the reduced costs and Devex
-// weights across a basis change: entering variable q replaced the
-// basic variable at row r with pivot element alpha = (B⁻¹a_q)_r.
-// It computes the pivot row ρ = B⁻ᵀe_r and sweeps the nonbasic
-// columns once.
-func (s *solver) updatePricingAfterPivot(q, r int, alpha float64, leaving int) {
-	for i := range s.rho {
-		s.rho[i] = 0
+// ascendingNonzeros returns, in dst, the positions i with v[i] ≠ 0 in
+// ascending order. With sparse set, cand lists a superset of them (any
+// order, repeats allowed) and is sorted through the m-bit set idxBits
+// in O(|cand| + m/64); otherwise all of v is scanned.
+func (s *solver) ascendingNonzeros(dst []int, v []float64, cand []int, sparse bool) []int {
+	dst = dst[:0]
+	if !sparse {
+		for i, x := range v {
+			if x != 0 {
+				dst = append(dst, i)
+			}
+		}
+		return dst
 	}
-	s.rho[r] = 1
-	s.bas.btranUnit(s.rho, r)
+	set := s.idxBits
+	for _, i := range cand {
+		set[i>>6] |= 1 << (uint(i) & 63)
+	}
+	for w, word := range set {
+		if word == 0 {
+			continue
+		}
+		set[w] = 0
+		for word != 0 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if v[i] != 0 {
+				dst = append(dst, i)
+			}
+		}
+	}
+	return dst
+}
+
+// updatePricingAfterPivot maintains the reduced costs, Devex weights
+// and the entering-column tree across a basis change: entering
+// variable q replaced the basic variable at row r with pivot element
+// alpha = (B⁻¹a_q)_r. It computes the pivot row ρ = B⁻ᵀe_r and visits
+// only the columns ρ's nonzero rows reach.
+func (s *solver) updatePricingAfterPivot(q, r int, alpha float64, leaving int) {
+	rho := s.rho // all +0 on entry
+	rho[r] = 1
+	out, sparse := s.bas.btranUnit(rho, r)
+	s.rhoIdx = s.ascendingNonzeros(s.rhoIdx, rho, out, sparse)
 
 	dq := s.ddw[2*q]
 	wq := s.ddw[2*q+1]
 	ratio := dq / alpha
 	gamma := wq / (alpha * alpha)
-	maxW := 1.0
-	if s.csrOK {
-		// Accumulate α_r = ρᵀA by rows with nonzero ρ. Per column the
-		// contributions arrive in ascending row order — the order
-		// ColDot adds them — and skipping ρ_i = 0 rows only skips
-		// adding ±0, so each accumulated α_rj is the ColDot float
-		// (up to the sign of an unobservable zero).
-		arj := s.arj
-		s.stampGen++
-		gen := s.stampGen
-		tl := s.touched[:0]
-		for i := 0; i < s.m; i++ {
-			ri := s.rho[i]
-			if ri == 0 {
-				continue
-			}
-			for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-				c := s.rowCol[k]
-				arj[c] += s.rowVal[k] * ri
-				if s.stamp[c] != gen {
-					s.stamp[c] = gen
-					tl = append(tl, c)
-				}
-			}
-			c := int32(s.n + i)
-			arj[c] += s.artSign[i] * ri
+
+	// Accumulate α_r = ρᵀA by the rows with nonzero ρ, ascending. Per
+	// column the contributions arrive in ascending row order — the
+	// order ColDot adds them — and skipping ρ_i = 0 rows only skips
+	// adding ±0, so each accumulated α_rj is the ColDot float (up to
+	// the sign of an unobservable zero).
+	arj := s.arj
+	s.stampGen++
+	gen := s.stampGen
+	tl := s.touched[:0]
+	for _, i := range s.rhoIdx {
+		ri := rho[i]
+		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
+			c := s.rowCol[k]
+			arj[c] += s.rowVal[k] * ri
 			if s.stamp[c] != gen {
 				s.stamp[c] = gen
 				tl = append(tl, c)
 			}
 		}
-		s.touched = tl
-		// Apply the reduced-cost / weight deltas over the touched
-		// columns only (per-column updates are independent of order),
-		// clearing the accumulator as we go.
-		for _, c := range tl {
-			j := int(c)
-			v := arj[j]
-			arj[j] = 0
-			if v == 0 || j == q || s.nbPos[j] < 0 {
-				continue
-			}
-			jj := 2 * j
-			s.ddw[jj] -= ratio * v
-			if w := v * v * gamma; w > s.ddw[jj+1] {
-				s.ddw[jj+1] = w
-			}
+		c := int32(s.n + i)
+		arj[c] += s.artSign[i] * ri
+		if s.stamp[c] != gen {
+			s.stamp[c] = gen
+			tl = append(tl, c)
 		}
-		// Sweep the nonbasic list for the Devex weight max and the next
-		// price scan, fused: eligibility and the score are pure
-		// functions of the final d/dw/state, max is order-free, and the
-		// explicit smallest-index tie-break reproduces the ascending
-		// scan's first-argmax choice.
-		best, bestScore, bestDir := -1, 0.0, 0.0
-		tol := s.opt.Tol
-		s.prefTested += int64(len(s.nbList) - 1) // every column but q
-		for _, j32 := range s.nbList {
-			j := int(j32)
-			if j == q {
-				continue
-			}
-			jj := 2 * j
-			dj := s.ddw[jj]
-			wj := s.ddw[jj+1]
-			if wj > maxW {
-				maxW = wj
-			}
-			// Devex weights never drop below 1, so score ≤ dj²: a
-			// numerator strictly under the incumbent can neither beat
-			// it nor tie it, and eligibility need not be checked.
-			if a := dj * dj; a >= bestScore {
-				s.prefPassed++
-				// eligible(j), inlined with the fixed-bound cache.
-				var dr float64
-				switch s.state[j] {
-				case stLower:
-					if dj < -tol && !s.fixed[j] {
-						dr = 1
-					}
-				case stUpper:
-					if dj > tol {
-						dr = -1
-					}
-				case stFree:
-					if dj < -tol {
-						dr = 1
-					} else if dj > tol {
-						dr = -1
-					}
-				}
-				if dr != 0 {
-					score := a / wj
-					if score > bestScore || (score == bestScore && j < best) {
-						best, bestScore, bestDir = j, score, dr
-					}
-				}
-			}
+	}
+	s.touched = tl
+	if sparse {
+		for _, i := range out {
+			rho[i] = 0
 		}
-		s.cacheJ, s.cacheScore, s.cacheDir = best, bestScore, bestDir
-		s.cacheOK = true
 	} else {
-		for j := 0; j < s.total; j++ {
-			if s.state[j] == stBasic || j == q {
-				continue
-			}
-			arj := s.colDot(j, s.rho)
-			if arj != 0 {
-				s.ddw[2*j] -= ratio * arj
-				if w := arj * arj * gamma; w > s.ddw[2*j+1] {
-					s.ddw[2*j+1] = w
-				}
-			}
-			if s.ddw[2*j+1] > maxW {
-				maxW = s.ddw[2*j+1]
-			}
+		clear(rho)
+	}
+	// Apply the reduced-cost / weight deltas over the touched columns
+	// only (per-column updates are independent of order), clearing the
+	// accumulator as we go.
+	heavy := s.nHeavy
+	for _, c := range tl {
+		j := int(c)
+		v := arj[j]
+		arj[j] = 0
+		if v == 0 || j == q || s.state[j] == stBasic {
+			continue
 		}
+		jj := 2 * j
+		s.ddw[jj] -= ratio * v
+		if w := v * v * gamma; w > s.ddw[jj+1] {
+			if w > devexResetWeight && s.ddw[jj+1] <= devexResetWeight {
+				heavy++
+			}
+			s.ddw[jj+1] = w
+		}
+		s.rescore(j)
+	}
+	// q leaves the nonbasic set. The framework is reset when any other
+	// nonbasic weight exceeds the threshold — the leaving column, which
+	// joins the set below, is not yet among them.
+	if s.ddw[2*q+1] > devexResetWeight {
+		heavy--
 	}
 	// The leaving variable becomes nonbasic with reduced cost −d_q/α.
 	s.ddw[2*leaving] = -ratio
 	s.ddw[2*leaving+1] = math.Max(gamma, 1)
 	s.ddw[2*q] = 0
-	if maxW > 1e10 {
+	if heavy > 0 {
 		s.resetDevex()
+		return
 	}
+	if s.ddw[2*leaving+1] > devexResetWeight {
+		heavy++
+	}
+	s.nHeavy = heavy
 }
 
 // perturbNoise derives a reproducible pseudo-random factor in [0.5, 1)
@@ -1458,26 +1522,27 @@ func (s *solver) iterate(phase int) (Status, error) {
 		}
 		verifiedOptimal = false
 
-		// FTran the entering column.
-		for i := range s.w {
-			s.w[i] = 0
-		}
-		s.scatterCol(j, s.w)
-		// The scattered column's row index list is its support, so the
-		// LU solve can skip pattern discovery.
-		if j < s.n {
-			idx, _ := s.prob.A.Col(j)
-			s.bas.ftranSupp(s.w, idx)
+		// FTran the entering column into a w cleared where the last
+		// FTran wrote. The scattered column's row index list is its
+		// support, so the LU solve can skip pattern discovery.
+		if s.wDense {
+			clear(s.w)
 		} else {
-			s.suppOne[0] = j - s.n
-			s.bas.ftranSupp(s.w, s.suppOne[:])
-		}
-		s.wIdx = s.wIdx[:0]
-		for i, v := range s.w {
-			if v != 0 {
-				s.wIdx = append(s.wIdx, i)
+			for _, i := range s.wOut {
+				s.w[i] = 0
 			}
 		}
+		s.scatterCol(j, s.w)
+		supp := s.suppOne[:]
+		if j < s.n {
+			supp, _ = s.prob.A.Col(j)
+		} else {
+			s.suppOne[0] = j - s.n
+		}
+		out, sparse := s.bas.ftranSupp(s.w, supp)
+		s.wOut = append(s.wOut[:0], out...)
+		s.wDense = !sparse
+		s.wIdx = s.ascendingNonzeros(s.wIdx, s.w, out, sparse)
 
 		// Exact reduced cost of the entering column (c_j − c_B·B⁻¹a_j):
 		// cheap given the FTran'd column, and it corrects any drift in
@@ -1487,6 +1552,7 @@ func (s *solver) iterate(phase int) (Status, error) {
 			dq -= s.cost[s.basisOf[i]] * s.w[i]
 		}
 		s.ddw[2*j] = dq
+		s.rescore(j)
 		if _, ok := s.eligible(j); !ok {
 			// The stored reduced cost was stale; the entry is now
 			// corrected, so re-price.
@@ -1551,6 +1617,7 @@ func (s *solver) iterate(phase int) (Status, error) {
 			} else {
 				s.state[j] = stLower
 			}
+			s.rescore(j)
 			continue
 		}
 
@@ -1597,29 +1664,8 @@ func (s *solver) iterate(phase int) (Status, error) {
 		s.inRow[j] = r
 		s.state[j] = stBasic
 		s.xB[r] = enterVal
-
-		// Maintain the nonbasic list across the swap, and let the
-		// leaving column (absent from the pricing sweep) contend for
-		// the cached entering candidate under the same tie-break.
-		pq := s.nbPos[j]
-		lastPos := int32(len(s.nbList) - 1)
-		lj := s.nbList[lastPos]
-		s.nbList[pq] = lj
-		s.nbPos[lj] = pq
-		s.nbList = s.nbList[:lastPos]
-		s.nbPos[j] = -1
-		s.nbPos[leaving] = int32(len(s.nbList))
-		s.nbList = append(s.nbList, int32(leaving))
-		if s.cacheOK {
-			if dr, ok := s.eligible(leaving); ok {
-				dl := s.ddw[2*leaving]
-				score := dl * dl / s.ddw[2*leaving+1]
-				if score > s.cacheScore || (score == s.cacheScore && leaving < s.cacheJ) {
-					s.cacheJ, s.cacheScore, s.cacheDir = leaving, score, dr
-				}
-			}
-			s.cacheOK = s.cacheJ >= 0
-		}
+		s.rescore(j)
+		s.rescore(leaving)
 
 		s.bas.pushEtaIdx(r, s.w, s.wIdx, 1e-12)
 		s.pivots++

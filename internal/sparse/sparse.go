@@ -77,12 +77,27 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // SortColumns sorts row indices within every column in increasing
-// order, keeping values aligned.
+// order, keeping values aligned. A column whose rows are already
+// strictly ascending is left alone — sorting distinct keys could only
+// reproduce it — and the rest share one sorter, so the pass allocates
+// nothing per column.
 func (m *Matrix) SortColumns() {
+	var col columnSorter
 	for j := 0; j < m.Cols; j++ {
 		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-		col := columnSorter{idx: m.RowIdx[lo:hi], val: m.Val[lo:hi]}
-		sort.Sort(col)
+		idx := m.RowIdx[lo:hi]
+		sorted := true
+		for k := 1; k < len(idx); k++ {
+			if idx[k-1] >= idx[k] {
+				sorted = false
+				break
+			}
+		}
+		if sorted {
+			continue
+		}
+		col.idx, col.val = idx, m.Val[lo:hi]
+		sort.Sort(&col)
 	}
 }
 
@@ -91,9 +106,9 @@ type columnSorter struct {
 	val []float64
 }
 
-func (c columnSorter) Len() int           { return len(c.idx) }
-func (c columnSorter) Less(i, j int) bool { return c.idx[i] < c.idx[j] }
-func (c columnSorter) Swap(i, j int) {
+func (c *columnSorter) Len() int           { return len(c.idx) }
+func (c *columnSorter) Less(i, j int) bool { return c.idx[i] < c.idx[j] }
+func (c *columnSorter) Swap(i, j int) {
 	c.idx[i], c.idx[j] = c.idx[j], c.idx[i]
 	c.val[i], c.val[j] = c.val[j], c.val[i]
 }
