@@ -137,7 +137,7 @@ func (b *basis) pushEtaIdx(r int, w []float64, wIdx []int, dropTol float64) {
 // ftran solves B·x = v in place (v is overwritten with the solution).
 func (b *basis) ftran(v []float64) {
 	b.lu.Solve(v, v)
-	b.ftranEtas(v, nil)
+	b.ftranEtas(v, nil, false)
 }
 
 // ftranSupp is ftran for a caller that knows a superset of v's nonzero
@@ -152,17 +152,23 @@ func (b *basis) ftran(v []float64) {
 func (b *basis) ftranSupp(v []float64, supp []int) (out []int, ok bool) {
 	lout, ok := b.lu.SolveSupp(v, v, supp)
 	if !ok {
-		b.ftranEtas(v, nil)
+		b.ftranEtas(v, nil, false)
 		return nil, false
 	}
-	b.ftranOut = b.ftranEtas(v, append(b.ftranOut[:0], lout...))
+	b.ftranOut, ok = b.ftranEtas(v, append(b.ftranOut[:0], lout...), true)
+	if !ok {
+		return nil, false
+	}
 	return b.ftranOut, true
 }
 
-// ftranEtas applies the eta file to v. When track is non-nil, the
-// index set of every applied eta is appended to it and the result
-// returned; the append costs no more than the update itself.
-func (b *basis) ftranEtas(v []float64, track []int) []int {
+// ftranEtas applies the eta file to v. While tracking, the index set
+// of every applied eta is appended to track; the append costs no more
+// than the update itself. Once the list would outgrow m — repeats make
+// it longer than the support, and a scan of v is then cheaper than
+// sorting it — tracking stops. It returns track and whether tracking
+// held to the end.
+func (b *basis) ftranEtas(v []float64, track []int, tracking bool) ([]int, bool) {
 	for k := 0; k < len(b.etaRow); k++ {
 		r := b.etaRow[k]
 		vr := v[r]
@@ -170,8 +176,12 @@ func (b *basis) ftranEtas(v []float64, track []int) []int {
 			continue
 		}
 		lo, hi := b.etaPtr[k], b.etaPtr[k+1]
-		if track != nil {
-			track = append(track, b.etaIdx[lo:hi]...)
+		if tracking {
+			if len(track)+hi-lo > b.m {
+				tracking = false
+			} else {
+				track = append(track, b.etaIdx[lo:hi]...)
+			}
 		}
 		// Find w_r first.
 		var wr float64
@@ -191,7 +201,7 @@ func (b *basis) ftranEtas(v []float64, track []int) []int {
 		}
 		v[r] = zr
 	}
-	return track
+	return track, tracking
 }
 
 // btran solves Bᵀ·y = v in place (v is overwritten with the solution).

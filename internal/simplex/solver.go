@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/lu"
 	"repro/internal/obs"
@@ -230,7 +229,7 @@ type solver struct {
 	rhoIdx []int // nonzero positions of rho, ascending
 
 	// idxBits is the m-bit scratch set ascendingNonzeros sorts a support
-	// report with; all zero between calls.
+	// report with (sparse.SortIndices); all zero between calls.
 	idxBits []uint64
 
 	// Reduced costs maintained incrementally across pivots and Devex
@@ -455,8 +454,8 @@ func (s *solver) buildCSR() {
 	next := make([]int32, s.m)
 	copy(next, s.rowPtr[:s.m])
 	// Column-major traversal fills each row's entries in ascending
-	// column order (not that the sweep's exactness needs it: each
-	// column gets exactly one entry per row).
+	// column order (not that the update's exactness needs it: each
+	// column gets at most one entry per row).
 	for j := 0; j < a.Cols; j++ {
 		lo, hi := a.ColPtr[j], a.ColPtr[j+1]
 		for k := lo; k < hi; k++ {
@@ -1069,10 +1068,9 @@ func (s *solver) resetDevex() {
 }
 
 // chuzcScore is column j's key in the entering-column tree: d_j²/w_j
-// when j is nonbasic and eligible, else -1. A score that is not
-// positive (it cannot be, short of NaN) also maps to -1: the ascending
-// scan this tree replaces only ever chose a column whose score
-// exceeded 0.
+// when j is nonbasic and eligible, else -1. A score that is not above 0
+// (only NaN or underflow could make one) also maps to -1, because
+// Devex pricing enters a column only when its score exceeds 0.
 func (s *solver) chuzcScore(j int) float64 {
 	if s.state[j] == stBasic {
 		return -1
@@ -1175,12 +1173,12 @@ func (s *solver) price() (jEnter int, dir float64) {
 }
 
 // ascendingNonzeros returns, in dst, the positions i with v[i] ≠ 0 in
-// ascending order. With sparse set, cand lists a superset of them (any
-// order, repeats allowed) and is sorted through the m-bit set idxBits
-// in O(|cand| + m/64); otherwise all of v is scanned.
-func (s *solver) ascendingNonzeros(dst []int, v []float64, cand []int, sparse bool) []int {
+// ascending order. With tracked set, cand lists a superset of them (any
+// order, repeats allowed; sorted in place) and only those positions
+// are read; otherwise all of v is scanned.
+func (s *solver) ascendingNonzeros(dst []int, v []float64, cand []int, tracked bool) []int {
 	dst = dst[:0]
-	if !sparse {
+	if !tracked {
 		for i, x := range v {
 			if x != 0 {
 				dst = append(dst, i)
@@ -1188,21 +1186,9 @@ func (s *solver) ascendingNonzeros(dst []int, v []float64, cand []int, sparse bo
 		}
 		return dst
 	}
-	set := s.idxBits
-	for _, i := range cand {
-		set[i>>6] |= 1 << (uint(i) & 63)
-	}
-	for w, word := range set {
-		if word == 0 {
-			continue
-		}
-		set[w] = 0
-		for word != 0 {
-			i := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if v[i] != 0 {
-				dst = append(dst, i)
-			}
+	for _, i := range sparse.SortIndices(cand, s.idxBits) {
+		if v[i] != 0 {
+			dst = append(dst, i)
 		}
 	}
 	return dst
@@ -1216,8 +1202,8 @@ func (s *solver) ascendingNonzeros(dst []int, v []float64, cand []int, sparse bo
 func (s *solver) updatePricingAfterPivot(q, r int, alpha float64, leaving int) {
 	rho := s.rho // all +0 on entry
 	rho[r] = 1
-	out, sparse := s.bas.btranUnit(rho, r)
-	s.rhoIdx = s.ascendingNonzeros(s.rhoIdx, rho, out, sparse)
+	out, tracked := s.bas.btranUnit(rho, r)
+	s.rhoIdx = s.ascendingNonzeros(s.rhoIdx, rho, out, tracked)
 
 	dq := s.ddw[2*q]
 	wq := s.ddw[2*q+1]
@@ -1251,7 +1237,9 @@ func (s *solver) updatePricingAfterPivot(q, r int, alpha float64, leaving int) {
 		}
 	}
 	s.touched = tl
-	if sparse {
+	if tracked {
+		// Sorting out in place kept every row it named, so this clears
+		// each written row, zeros included.
 		for _, i := range out {
 			rho[i] = 0
 		}
@@ -1539,10 +1527,10 @@ func (s *solver) iterate(phase int) (Status, error) {
 		} else {
 			s.suppOne[0] = j - s.n
 		}
-		out, sparse := s.bas.ftranSupp(s.w, supp)
+		out, tracked := s.bas.ftranSupp(s.w, supp)
 		s.wOut = append(s.wOut[:0], out...)
-		s.wDense = !sparse
-		s.wIdx = s.ascendingNonzeros(s.wIdx, s.w, out, sparse)
+		s.wDense = !tracked
+		s.wIdx = s.ascendingNonzeros(s.wIdx, s.w, out, tracked)
 
 		// Exact reduced cost of the entering column (c_j − c_B·B⁻¹a_j):
 		// cheap given the FTran'd column, and it corrects any drift in

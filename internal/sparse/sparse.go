@@ -12,6 +12,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -111,6 +112,31 @@ func (c *columnSorter) Less(i, j int) bool { return c.idx[i] < c.idx[j] }
 func (c *columnSorter) Swap(i, j int) {
 	c.idx[i], c.idx[j] = c.idx[j], c.idx[i]
 	c.val[i], c.val[j] = c.val[j], c.val[i]
+}
+
+// SortIndices sorts idx, a list of indices in [0, 64·len(set)), into
+// ascending order and drops repeats, returning the shortened slice
+// (which shares idx's storage). set is a caller-owned bitset scratch
+// that must be all zero and is all zero again on return. The cost is
+// O(len(idx) + len(set)) whatever the order of idx, so the sparse
+// solves sort their reach sets this way instead of comparing.
+func SortIndices(idx []int, set []uint64) []int {
+	for _, i := range idx {
+		set[i>>6] |= 1 << (uint(i) & 63)
+	}
+	k := 0
+	for w, word := range set {
+		if word == 0 {
+			continue
+		}
+		set[w] = 0
+		for word != 0 {
+			idx[k] = w<<6 + bits.TrailingZeros64(word)
+			k++
+			word &= word - 1
+		}
+	}
+	return idx[:k]
 }
 
 // MulVec computes y = A·x densely: y has length Rows, x length Cols.

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -293,5 +294,27 @@ func BenchmarkMulVec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.MulVec(x, y)
+	}
+}
+
+func TestSortIndices(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 200; iter++ {
+		n := 1 + r.Intn(300)
+		set := make([]uint64, (n+63)/64)
+		idx := make([]int, r.Intn(2*n))
+		for k := range idx {
+			idx[k] = r.Intn(n)
+		}
+		want := slices.Compact(slices.Sorted(slices.Values(idx)))
+		got := SortIndices(idx, set)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: SortIndices = %v, want %v", n, got, want)
+		}
+		for w, word := range set {
+			if word != 0 {
+				t.Fatalf("n=%d: scratch word %d left %#x", n, w, word)
+			}
+		}
 	}
 }
